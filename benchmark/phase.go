@@ -64,8 +64,9 @@ type phaseResult struct {
 	heapMB             float64 // see phaseSpec.heapRounds
 }
 
-// tps is the median of the rounds' throughputs, so that a stall of the
-// host during one round moves it little.
+// tps is the median of the rounds' throughputs, each over the round's
+// wall time net of host steal (netWall), so that a stall of the host
+// during one round moves it little.
 func (p *phaseResult) tps() float64 { return median(p.roundTPS) }
 
 // cpuPerTxn is the median of the rounds' CPU per committed transaction.
@@ -138,10 +139,11 @@ func runPhase(spec phaseSpec) *phaseResult {
 			}(c, cs[c])
 		}
 		wg.Wait()
+		wall, d := time.Since(r0), readCPU().sub(cpu0)
 		rounds++
 		if n := committedSoFar(cs) - done0; n > 0 {
-			roundTPS = append(roundTPS, float64(n)/time.Since(r0).Seconds())
-			roundCPU = append(roundCPU, us(readCPU().sub(cpu0).total())/float64(n))
+			roundTPS = append(roundTPS, float64(n)/netWall(wall, d).Seconds())
+			roundCPU = append(roundCPU, us(d.total())/float64(n))
 		}
 		last := time.Since(start) >= spec.minDur || (spec.maxRounds > 0 && rounds >= spec.maxRounds)
 		if spec.heapRounds > 0 && heapMB == 0 && (rounds == spec.heapRounds || last) {
@@ -192,45 +194,71 @@ func committedSoFar(cs []*clientState) int64 {
 // cpuSample is the process's CPU time and the host's steal ticks.
 type cpuSample struct {
 	user, sys time.Duration
-	steal     int64 // USER_HZ ticks summed over all CPUs, from /proc/stat
+	steal     int64 // USER_HZ ticks summed over the host's CPUs, from /proc/stat; -1 if unreadable
+	hostCPUs  int   // CPUs listed in /proc/stat
 }
 
 func (a cpuSample) sub(b cpuSample) cpuSample {
-	return cpuSample{user: a.user - b.user, sys: a.sys - b.sys, steal: a.steal - b.steal}
+	steal := a.steal - b.steal
+	if a.steal < 0 || b.steal < 0 {
+		steal = -1
+	}
+	return cpuSample{user: a.user - b.user, sys: a.sys - b.sys, steal: steal, hostCPUs: a.hostCPUs}
 }
 
 func (a cpuSample) total() time.Duration { return a.user + a.sys }
 
+// stolen is the time the hypervisor held back from an average CPU of
+// the host over an interval (a delta), or 0 where /proc/stat is
+// unreadable. USER_HZ is 100 on Linux.
+func (a cpuSample) stolen() time.Duration {
+	if a.steal <= 0 || a.hostCPUs == 0 {
+		return 0
+	}
+	return time.Duration(a.steal) * 10 * time.Millisecond / time.Duration(a.hostCPUs)
+}
+
+// netWall is an interval's wall time net of host steal. On this kind of
+// shared VM steal swings between runs from a few percent to over 40%
+// and moves throughput with it (raw tps varied 24% across ten seeds
+// where steal-net tps varied 4%), so the wall times the end-to-end
+// metrics divide by leave it out; raw figures stay in the report.
+func netWall(wall time.Duration, d cpuSample) time.Duration { return wall - d.stolen() }
+
 func readCPU() cpuSample {
 	var ru syscall.Rusage
 	_ = syscall.Getrusage(syscall.RUSAGE_SELF, &ru) // cannot fail for RUSAGE_SELF
+	steal, cpus := readSteal()
 	return cpuSample{
-		user:  time.Duration(ru.Utime.Nano()),
-		sys:   time.Duration(ru.Stime.Nano()),
-		steal: readSteal(),
+		user:     time.Duration(ru.Utime.Nano()),
+		sys:      time.Duration(ru.Stime.Nano()),
+		steal:    steal,
+		hostCPUs: cpus,
 	}
 }
 
-// readSteal returns the host's cumulative steal ticks, or -1 where
-// /proc/stat is unreadable (the report then says so).
-func readSteal() int64 {
+// readSteal returns the host's cumulative steal ticks and its CPU
+// count, or -1 ticks where /proc/stat is unreadable.
+func readSteal() (int64, int) {
 	f, err := os.Open("/proc/stat")
 	if err != nil {
-		return -1
+		return -1, 0
 	}
 	defer f.Close()
+	steal, cpus := int64(-1), 0
 	sc := bufio.NewScanner(f)
 	for sc.Scan() {
 		fields := strings.Fields(sc.Text())
-		if len(fields) > 8 && fields[0] == "cpu" {
-			n, err := strconv.ParseInt(fields[8], 10, 64)
-			if err != nil {
-				return -1
+		switch {
+		case len(fields) > 8 && fields[0] == "cpu":
+			if n, err := strconv.ParseInt(fields[8], 10, 64); err == nil {
+				steal = n
 			}
-			return n
+		case len(fields) > 0 && strings.HasPrefix(fields[0], "cpu"):
+			cpus++
 		}
 	}
-	return -1
+	return steal, cpus
 }
 
 // reportPhase writes a phase's outcome accounting and per-kind latency
@@ -251,8 +279,10 @@ func reportPhase(label string, p *phaseResult) {
 	if p.cpu.steal < 0 {
 		stealNote = "unreadable"
 	}
-	logf("  cpu user %.3fs sys %.3fs, host steal ticks %s", p.cpu.user.Seconds(), p.cpu.sys.Seconds(), stealNote)
-	logf("  per-round tps %.0f", p.roundTPS)
+	logf("  cpu user %.3fs sys %.3fs, host steal ticks %s (%.3fs per CPU); tps %.1f over wall time, %.1f net of steal",
+		p.cpu.user.Seconds(), p.cpu.sys.Seconds(), stealNote, p.cpu.stolen().Seconds(),
+		float64(p.counts[committed])/p.wall.Seconds(), float64(p.counts[committed])/netWall(p.wall, p.cpu).Seconds())
+	logf("  per-round tps net of steal %.0f", p.roundTPS)
 }
 
 // reportLatency writes each kind's median and tail with sample counts.

@@ -194,17 +194,17 @@ func runTPCC(s tpccShape, rc runConfig) (*result, error) {
 			t.db.Close()
 			t = nil
 		}
-		start := time.Now()
+		start, c0 := time.Now(), readCPU()
 		var err error
 		t, warm, err = setupTPCC(s, rc.seed)
 		if err != nil {
 			return nil, fmt.Errorf("set-up: %w", err)
 		}
-		setupDur = append(setupDur, time.Since(start).Seconds())
+		setupDur = append(setupDur, netWall(time.Since(start), readCPU().sub(c0)).Seconds())
 	}
 	defer t.db.Close()
 	reportEnv(s.name, rc)
-	logf("set-up: %d warehouses x 10 districts x %d customers, %d items; IMRS %d MB, buffer pool %d pages; set-ups %.3v s",
+	logf("set-up: %d warehouses x 10 districts x %d customers, %d items; IMRS %d MB, buffer pool %d pages; set-ups %.3v s net of steal",
 		s.warehouses, s.customers, s.items, s.imrsBytes>>20, s.bufPages, setupDur)
 	reportPhase("warm-up", warm)
 	shapeLine("after warm-up", countersOf(t.db.Engine().Stats()))

@@ -226,8 +226,8 @@ func tracedRun(spec phaseSpec, counters func() engineCounters, w *wireDB, rc run
 	// whole phase, so the reconciliation must too.
 	cpu := us(p.cpu.total()) / c
 	baseCPU := us(base.cpu.total()) / float64(max(base.committed(), 1))
-	tps := float64(p.committed()) / p.wall.Seconds()
-	baseTPS := float64(base.committed()) / base.wall.Seconds()
+	tps := float64(p.committed()) / netWall(p.wall, p.cpu).Seconds()
+	baseTPS := float64(base.committed()) / netWall(base.wall, base.cpu).Seconds()
 	put("trace.cpu_us_per_txn", cpu, "us")
 	put("trace.sampled_cpu_us_per_txn", float64(sampled)/1e3/c, "us")
 	put("trace.unattributed_cpu_us_per_txn", cpu-float64(sampled)/1e3/c, "us")

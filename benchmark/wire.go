@@ -309,18 +309,18 @@ func runWire(rc runConfig) (*result, error) {
 			w.close()
 			w = nil
 		}
-		start := time.Now()
+		start, c0 := time.Now(), readCPU()
 		var err error
 		w, warm, err = setupWire(rc.seed, rc.trace)
 		if err != nil {
 			return nil, fmt.Errorf("set-up: %w", err)
 		}
-		setupDur = append(setupDur, time.Since(start).Seconds())
+		setupDur = append(setupDur, netWall(time.Since(start), readCPU().sub(c0)).Seconds())
 	}
 	defer w.close()
 	s := wireShape
 	reportEnv("wire-payment", rc)
-	logf("set-up: %d shards, %d warehouses x %d districts x %d customers; IMRS %d MB per shard; set-ups %.3v s",
+	logf("set-up: %d shards, %d warehouses x %d districts x %d customers; IMRS %d MB per shard; set-ups %.3v s net of steal",
 		s.shards, s.warehouses, s.districts, s.customers, s.imrsBytes>>20, setupDur)
 	reportPhase("warm-up", warm)
 	shapeLine("after warm-up", w.counters())
