@@ -6,8 +6,8 @@
 //
 // Usage (from the repository root, through run.sh which builds it):
 //
-//	bash benchmark/run.sh --workload tpcc-fit --seed 1 --seconds 10 --trace 0
-//	bash benchmark/run.sh --steady 10 --workload tpcc-fit --seed 1 --seconds 10
+//	bash benchmark/run.sh --workload tpcc-fit --seed 1 --seconds 20 --trace 0
+//	bash benchmark/run.sh --steady 10 --workload tpcc-fit --seed 1 --seconds 20
 //
 // A human-readable report goes to standard error; the last line of
 // standard output is one JSON object with the keys correct, attempted,

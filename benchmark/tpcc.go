@@ -180,60 +180,36 @@ func setupTPCC(s tpccShape, seed int64) (*tpccDB, *phaseResult, error) {
 // runTPCC runs a TPC-C workload: set up several times (timing each),
 // run the timed phase on the last database, check it, and report.
 func runTPCC(s tpccShape, rc runConfig) (*result, error) {
-	var (
-		t        *tpccDB
-		warm     *phaseResult
-		setupDur []float64
-	)
 	setups := setupRepeats
 	if s.setups > 0 {
 		setups = s.setups
 	}
-	for i := 0; i < setups; i++ {
-		if t != nil {
-			t.db.Close()
-			t = nil
-		}
-		start, c0 := time.Now(), readCPU()
-		var err error
-		t, warm, err = setupTPCC(s, rc.seed)
-		if err != nil {
-			return nil, fmt.Errorf("set-up: %w", err)
-		}
-		setupDur = append(setupDur, netWall(time.Since(start), readCPU().sub(c0)).Seconds())
+	var warm *phaseResult
+	t, setupS, err := repeatSetUp(setups, func() (*tpccDB, error) {
+		t, w, err := setupTPCC(s, rc.seed)
+		warm = w
+		return t, err
+	}, func(t *tpccDB) { t.db.Close() })
+	if err != nil {
+		return nil, err
 	}
 	defer t.db.Close()
 	reportEnv(s.name, rc)
 	logf("set-up: %d warehouses x 10 districts x %d customers, %d items; IMRS %d MB, buffer pool %d pages; set-ups %.3v s net of steal",
-		s.warehouses, s.customers, s.items, s.imrsBytes>>20, s.bufPages, setupDur)
+		s.warehouses, s.customers, s.items, s.imrsBytes>>20, s.bufPages, setupS)
 	reportPhase("warm-up", warm)
-	shapeLine("after warm-up", countersOf(t.db.Engine().Stats()))
+	counters := func() engineCounters { return countersOf(t.db.Engine().Stats()) }
+	shapeLine("after warm-up", counters())
 
-	spec := phaseSpec{
+	res, err := measure(phaseSpec{
 		kinds: tpccKinds, clients: clients, roundTxns: s.roundTxns,
 		minDur: time.Duration(rc.seconds) * time.Second,
 		seed:   rc.seed*4 + 2, run: t.txn, classify: classifyTPCC,
+	}, counters, nil, kPayment, median(setupS), rc)
+	if err != nil {
+		return nil, err
 	}
-	var res *result
-	if rc.trace {
-		var err error
-		res, err = tracedRun(spec, func() engineCounters { return countersOf(t.db.Engine().Stats()) }, nil, rc)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		before := countersOf(t.db.Engine().Stats())
-		rt0 := readRuntime()
-		spec.heapRounds = heapRounds
-		p := runPhase(spec)
-		after := countersOf(t.db.Engine().Stats())
-		rt := readRuntime().sub(rt0)
-		reportPhase("timed", p)
-		reportLatency(tpccKinds, p)
-		logRuntime(rt, p.committed())
-		res = endToEnd(p, p.lat[kPayment], after.sub(before), p.heapMB, median(setupDur))
-	}
-	shapeLine("after timed phase", countersOf(t.db.Engine().Stats()))
+	shapeLine("after timed phase", counters())
 
 	violations, err := checkTPCCDB(t.db, t.payments.Load(), int64(s.warehouses*10*s.customers))
 	if err != nil {
@@ -242,6 +218,47 @@ func runTPCC(s tpccShape, rc runConfig) (*result, error) {
 	res.Correct = len(violations) == 0
 	reportViolations(violations)
 	return res, nil
+}
+
+// repeatSetUp runs setUp n times, closing every result but the last,
+// and returns the last with each set-up's wall time net of steal.
+func repeatSetUp[T any](n int, setUp func() (T, error), closeDB func(T)) (T, []float64, error) {
+	var (
+		db    T
+		times []float64
+	)
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			closeDB(db)
+		}
+		start, c0 := time.Now(), readCPU()
+		var err error
+		if db, err = setUp(); err != nil {
+			return db, nil, fmt.Errorf("set-up: %w", err)
+		}
+		times = append(times, netWall(time.Since(start), readCPU().sub(c0)).Seconds())
+	}
+	return db, times, nil
+}
+
+// measure runs the timed phase: the traced run when asked for,
+// otherwise the untraced phase that the end-to-end metrics come from.
+// w is the wire workload's database, nil for the others; payKind is the
+// index of Payments in spec.kinds.
+func measure(spec phaseSpec, counters func() engineCounters, w *wireDB, payKind int, setupS float64, rc runConfig) (*result, error) {
+	if rc.trace {
+		return tracedRun(spec, counters, w, rc)
+	}
+	before := counters()
+	rt0 := readRuntime()
+	spec.heapRounds = heapRounds
+	p := runPhase(spec)
+	after := counters()
+	rt := readRuntime().sub(rt0)
+	reportPhase("timed", p)
+	reportLatency(spec.kinds, p)
+	logRuntime(rt, p.committed())
+	return endToEnd(p, p.lat[payKind], after.sub(before), p.heapMB, setupS), nil
 }
 
 // merge folds another phase's accounting into p (warm-up rounds).

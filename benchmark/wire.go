@@ -299,61 +299,36 @@ func setupWire(seed int64, trace bool) (*wireDB, *phaseResult, error) {
 
 // runWire runs the wire-payment workload.
 func runWire(rc runConfig) (*result, error) {
-	var (
-		w        *wireDB
-		warm     *phaseResult
-		setupDur []float64
-	)
-	for i := 0; i < setupRepeats; i++ {
-		if w != nil {
-			w.close()
-			w = nil
-		}
-		start, c0 := time.Now(), readCPU()
-		var err error
-		w, warm, err = setupWire(rc.seed, rc.trace)
-		if err != nil {
-			return nil, fmt.Errorf("set-up: %w", err)
-		}
-		setupDur = append(setupDur, netWall(time.Since(start), readCPU().sub(c0)).Seconds())
+	var warm *phaseResult
+	w, setupS, err := repeatSetUp(setupRepeats, func() (*wireDB, error) {
+		w, p, err := setupWire(rc.seed, rc.trace)
+		warm = p
+		return w, err
+	}, (*wireDB).close)
+	if err != nil {
+		return nil, err
 	}
 	defer w.close()
 	s := wireShape
 	reportEnv("wire-payment", rc)
 	logf("set-up: %d shards, %d warehouses x %d districts x %d customers; IMRS %d MB per shard; set-ups %.3v s net of steal",
-		s.shards, s.warehouses, s.districts, s.customers, s.imrsBytes>>20, setupDur)
+		s.shards, s.warehouses, s.districts, s.customers, s.imrsBytes>>20, setupS)
 	reportPhase("warm-up", warm)
 	shapeLine("after warm-up", w.counters())
 
-	spec := phaseSpec{
+	res, err := measure(phaseSpec{
 		kinds: wireKinds, clients: clients, roundTxns: s.roundTxns,
 		minDur: time.Duration(rc.seconds) * time.Second,
 		seed:   rc.seed*4 + 2, run: w.txn, classify: classifyWire,
-	}
-	var res *result
-	if rc.trace {
-		var err error
-		res, err = tracedRun(spec, w.counters, w, rc)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		before := w.counters()
-		rt0 := readRuntime()
-		spec.heapRounds = heapRounds
-		p := runPhase(spec)
-		after := w.counters()
-		rt := readRuntime().sub(rt0)
-		reportPhase("timed", p)
-		reportLatency(wireKinds, p)
-		logRuntime(rt, p.committed())
-		res = endToEnd(p, p.lat[kWirePayment], after.sub(before), p.heapMB, median(setupDur))
+	}, w.counters, w, kWirePayment, median(setupS), rc)
+	if err != nil {
+		return nil, err
 	}
 	w.quiesce()
 	shapeLine("after timed phase", w.counters())
 
 	var violations []string
-	err := w.db.View(func(tx *btrim.STx) error {
+	err = w.db.View(func(tx *btrim.STx) error {
 		var err error
 		violations, err = checkWire(tx, w.payments.Load(), s.customerRows())
 		return err
