@@ -286,9 +286,8 @@ func reportPhase(label string, p *phaseResult) {
 }
 
 // reportLatency writes each kind's median and tail with sample counts.
-// The tail is the highest percentile with at least ten samples beyond it
-// (p99 from 1000 samples, p90 from 100); below 40 samples only the
-// median is given.
+// The tail is p99 from 1000 samples and p90 from 100, so that at least
+// ten samples lie beyond it; below 100 samples only the median is given.
 func reportLatency(kinds []string, p *phaseResult) {
 	for k, name := range kinds {
 		s := p.lat[k]

@@ -42,7 +42,7 @@ func (l *spanLog) addAll(s []span) {
 	l.mu.Unlock()
 }
 
-// writeTo writes the spans as JSON lines.
+// writeFile writes the spans as JSON lines.
 func (l *spanLog) writeFile(path string) error {
 	f, err := os.Create(path)
 	if err != nil {
@@ -195,7 +195,9 @@ func tracedRun(spec phaseSpec, counters func() engineCounters, w *wireDB, rc run
 	if w != nil {
 		w.tracer.on.Store(false)
 		srv = w.srv.Stats()
+		w.tracer.spans.mu.Lock()
 		log.addAll(w.tracer.spans.spans)
+		w.tracer.spans.mu.Unlock()
 	}
 	reportPhase("traced", p)
 	reportLatency(spec.kinds, p)
