@@ -15,7 +15,7 @@ var smallTPCC = tpccShape{name: "test", warehouses: 2, customers: 20, items: 200
 // loadedTPCC opens a small database and runs part of the mix on it.
 func loadedTPCC(t *testing.T) *tpccDB {
 	t.Helper()
-	db, err := smallTPCC.open(7)
+	db, err := smallTPCC.open(7, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,6 +29,29 @@ func loadedTPCC(t *testing.T) *tpccDB {
 		t.Fatalf("mix too small: %+v", p.byKind)
 	}
 	return db
+}
+
+// TestCheckersPassOnPackageProfiles runs internal/tpcc's own profiles
+// (the --shared-warehouses mode) from one client, which cannot meet the
+// known fault, and sees the checkers pass: the checkers hold for the
+// package's profiles as well as for the home-warehouse terminals.
+func TestCheckersPassOnPackageProfiles(t *testing.T) {
+	db, err := smallTPCC.open(7, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.db.Close()
+	p := runPhase(phaseSpec{kinds: tpccKinds, clients: 1, roundTxns: 800, maxRounds: 1, seed: 7,
+		run: db.txn, classify: classifyTPCC})
+	if p.failed() != 0 {
+		t.Fatalf("%d transactions failed: %v", p.failed(), p.hard)
+	}
+	if p.byKind[kDelivery].committed == 0 || p.byKind[kPayment].committed == 0 {
+		t.Fatalf("mix too small: %+v", p.byKind)
+	}
+	if v := checkLoaded(t, db); len(v) != 0 {
+		t.Fatalf("violations: %v", v)
+	}
 }
 
 func checkLoaded(t *testing.T, db *tpccDB) []string {

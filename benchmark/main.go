@@ -43,6 +43,9 @@ type runConfig struct {
 	seconds int
 	trace   bool
 	spans   string // file to write the traced run's spans to ("" keeps them in memory only)
+	// sharedWarehouses runs tpcc-* with internal/tpcc's own profiles,
+	// both clients over every warehouse (README.md, "Known fault").
+	sharedWarehouses bool
 }
 
 // workload is one named input set the benchmark can run.
@@ -72,6 +75,7 @@ func main() {
 	seconds := flag.Int("seconds", 10, "length of the timed phase")
 	trace := flag.Int("trace", 0, "1 runs the traced phase and reports per-layer metrics")
 	spans := flag.String("spans", "", "with --trace 1, write the recorded spans to this file as JSON lines")
+	shared := flag.Int("shared-warehouses", 0, "1 runs tpcc-* with internal/tpcc's own profiles, both clients over every warehouse (shows the known fault; not a benchmark workload)")
 	steady := flag.Int("steady", 0, "run the workload this many times with seeds seed, seed+1, ... and print each metric's quartiles")
 	flag.Parse()
 
@@ -85,13 +89,13 @@ func main() {
 		os.Exit(2)
 	}
 	if *steady > 0 {
-		if err := runSteady(w.name, *seed, *seconds, *trace, *steady); err != nil {
+		if err := runSteady(w.name, *seed, *seconds, *trace, *shared, *steady); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 		return
 	}
-	res, err := w.run(runConfig{seed: *seed, seconds: *seconds, trace: *trace == 1, spans: *spans})
+	res, err := w.run(runConfig{seed: *seed, seconds: *seconds, trace: *trace == 1, spans: *spans, sharedWarehouses: *shared == 1})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "%s: %v\n", w.name, err)
 		os.Exit(1)

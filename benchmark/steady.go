@@ -15,7 +15,7 @@ import (
 // and third quartiles, and the quartile spread as a share of the median
 // (the figure the bounds in BENCHMARK.json are set from), plus the
 // share of failed transactions in each run.
-func runSteady(name string, seed int64, seconds, trace, n int) error {
+func runSteady(name string, seed int64, seconds, trace, shared, n int) error {
 	self, err := os.Executable()
 	if err != nil {
 		return fmt.Errorf("steady: %w", err)
@@ -26,7 +26,8 @@ func runSteady(name string, seed int64, seconds, trace, n int) error {
 	for i := 0; i < n; i++ {
 		s := seed + int64(i)
 		cmd := exec.Command(self, "--workload", name, "--seed", strconv.FormatInt(s, 10),
-			"--seconds", strconv.Itoa(seconds), "--trace", strconv.Itoa(trace))
+			"--seconds", strconv.Itoa(seconds), "--trace", strconv.Itoa(trace),
+			"--shared-warehouses", strconv.Itoa(shared))
 		cmd.Stderr = os.Stderr
 		out, err := cmd.Output()
 		if err != nil {

@@ -15,11 +15,17 @@ import (
 // clients never touch the same warehouse, district, customer, stock or
 // order rows. Only item, which is read-only, is shared.
 //
-// This keeps out of the workload a fault that makes snapshot reads of
-// rows another client is updating fail now and then (README.md, "Known
-// fault"): with internal/tpcc's profiles, where both clients pick any
-// warehouse, about 2 in 48000 New-Orders fail at 8 warehouses, so the
-// failed count would differ from run to run.
+// The reason is the known fault in core.Engine.Begin (README.md, "Known
+// fault"): when both clients pick any warehouse, a snapshot read of a
+// row the other client has just updated fails now and then, and how
+// many fail differs from run to run (two 20 s tpcc-fit runs: 3 of
+// 84 000 and 0 of 90 000). Runs of a benchmark are compared on their
+// share of failed transactions, which must be the same in every run, so
+// the gated workloads leave that sharing out. internal/tpcc's profiles
+// take no warehouse argument, hence this copy; --shared-warehouses 1
+// runs the package's own profiles over every warehouse, where the fault
+// shows in the failed count. Once Begin reads the clock and registers
+// the snapshot as one step, the copy can go.
 
 // Column ordinals the profiles write (schema order, internal/tpcc).
 const (

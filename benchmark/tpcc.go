@@ -74,6 +74,8 @@ const (
 // committed on it (the checker compares the database against it).
 type tpccDB struct {
 	db       *btrim.DB
+	bench    *tpcc.Bench  // internal/tpcc's own profiles, run with --shared-warehouses
+	shared   bool         // run bench's profiles instead of terms
 	terms    []*terminal  // one per client
 	payments atomic.Int64 // committed Payments since load
 	histID   atomic.Int64 // last history row id handed out
@@ -91,17 +93,18 @@ func (s tpccShape) config(seed int64) tpcc.Config {
 	}
 }
 
-func (s tpccShape) open(seed int64) (*tpccDB, error) {
+func (s tpccShape) open(seed int64, shared bool) (*tpccDB, error) {
 	db, err := btrim.Open(btrim.Config{IMRSCacheBytes: s.imrsBytes, BufferPoolPages: s.bufPages})
 	if err != nil {
 		return nil, fmt.Errorf("open: %w", err)
 	}
 	cfg := s.config(seed)
-	if _, err := tpcc.Load(db, cfg); err != nil {
+	b, err := tpcc.Load(db, cfg)
+	if err != nil {
 		db.Close()
 		return nil, fmt.Errorf("load: %w", err)
 	}
-	t := &tpccDB{db: db}
+	t := &tpccDB{db: db, bench: b, shared: shared}
 	for c := 0; c < clients; c++ {
 		t.terms = append(t.terms, &terminal{t: t, cfg: cfg, home: homeWarehouses(s.warehouses, clients, c)})
 	}
@@ -110,7 +113,6 @@ func (s tpccShape) open(seed int64) (*tpccDB, error) {
 
 // txn runs one transaction of the standard mix.
 func (t *tpccDB) txn(c int, rng *rand.Rand) (int, error) {
-	m := t.terms[c]
 	n := rng.Intn(100)
 	kind := kStockLevel
 	for k, acc := 0, 0; k < len(tpcc.Mix); k++ {
@@ -120,6 +122,10 @@ func (t *tpccDB) txn(c int, rng *rand.Rand) (int, error) {
 			break
 		}
 	}
+	if t.shared {
+		return kind, t.sharedTxn(kind, rng)
+	}
+	m := t.terms[c]
 	var err error
 	switch kind {
 	case kNewOrder:
@@ -138,6 +144,28 @@ func (t *tpccDB) txn(c int, rng *rand.Rand) (int, error) {
 	return kind, err
 }
 
+// sharedTxn runs one transaction with internal/tpcc's own profiles,
+// which pick any warehouse, so both clients work on every warehouse.
+func (t *tpccDB) sharedTxn(kind int, rng *rand.Rand) error {
+	b := t.bench
+	switch kind {
+	case kNewOrder:
+		return b.NewOrder(rng, t.now.Add(1))
+	case kPayment:
+		err := b.Payment(rng, t.now.Add(1))
+		if err == nil {
+			t.payments.Add(1)
+		}
+		return err
+	case kOrderStatus:
+		return b.OrderStatus(rng)
+	case kDelivery:
+		return b.Delivery(rng, t.now.Add(1))
+	default:
+		return b.StockLevel(rng)
+	}
+}
+
 func classifyTPCC(err error) outcome {
 	switch {
 	case errors.Is(err, tpcc.ErrUserAbort):
@@ -151,8 +179,8 @@ func classifyTPCC(err error) outcome {
 
 // setupTPCC opens, loads and warms one database; it returns the
 // database and the warm-up's own accounting.
-func setupTPCC(s tpccShape, seed int64) (*tpccDB, *phaseResult, error) {
-	t, err := s.open(seed)
+func setupTPCC(s tpccShape, seed int64, shared bool) (*tpccDB, *phaseResult, error) {
+	t, err := s.open(seed, shared)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -186,7 +214,7 @@ func runTPCC(s tpccShape, rc runConfig) (*result, error) {
 	}
 	var warm *phaseResult
 	t, setupS, err := repeatSetUp(setups, func() (*tpccDB, error) {
-		t, w, err := setupTPCC(s, rc.seed)
+		t, w, err := setupTPCC(s, rc.seed, rc.sharedWarehouses)
 		warm = w
 		return t, err
 	}, func(t *tpccDB) { t.db.Close() })
@@ -195,8 +223,8 @@ func runTPCC(s tpccShape, rc runConfig) (*result, error) {
 	}
 	defer t.db.Close()
 	reportEnv(s.name, rc)
-	logf("set-up: %d warehouses x 10 districts x %d customers, %d items; IMRS %d MB, buffer pool %d pages; set-ups %.3v s net of steal",
-		s.warehouses, s.customers, s.items, s.imrsBytes>>20, s.bufPages, setupS)
+	logf("set-up: %d warehouses x 10 districts x %d customers, %d items; IMRS %d MB, buffer pool %d pages; clients %s",
+		s.warehouses, s.customers, s.items, s.imrsBytes>>20, s.bufPages, clientMode(rc.sharedWarehouses))
 	reportPhase("warm-up", warm)
 	counters := func() engineCounters { return countersOf(t.db.Engine().Stats()) }
 	shapeLine("after warm-up", counters())
@@ -221,11 +249,12 @@ func runTPCC(s tpccShape, rc runConfig) (*result, error) {
 }
 
 // repeatSetUp runs setUp n times, closing every result but the last,
-// and returns the last with each set-up's wall time net of steal.
+// and returns the last with each set-up's wall time net of host steal
+// (netWall). The report gets the raw wall times too.
 func repeatSetUp[T any](n int, setUp func() (T, error), closeDB func(T)) (T, []float64, error) {
 	var (
-		db    T
-		times []float64
+		db         T
+		raw, times []float64
 	)
 	for i := 0; i < n; i++ {
 		if i > 0 {
@@ -236,8 +265,11 @@ func repeatSetUp[T any](n int, setUp func() (T, error), closeDB func(T)) (T, []f
 		if db, err = setUp(); err != nil {
 			return db, nil, fmt.Errorf("set-up: %w", err)
 		}
-		times = append(times, netWall(time.Since(start), readCPU().sub(c0)).Seconds())
+		wall := time.Since(start)
+		raw = append(raw, wall.Seconds())
+		times = append(times, netWall(wall, readCPU().sub(c0)).Seconds())
 	}
+	logf("set-up times %.3v s, net of host steal %.3v s", raw, times)
 	return db, times, nil
 }
 
@@ -292,6 +324,13 @@ func endToEnd(p *phaseResult, payLat []time.Duration, d engineCounters, heapMB, 
 			"live_heap_mb":      {heapMB, "MB"},
 		},
 	}
+}
+
+func clientMode(shared bool) string {
+	if shared {
+		return "share every warehouse (internal/tpcc profiles)"
+	}
+	return "bound to home warehouses"
 }
 
 func reportViolations(v []string) {
